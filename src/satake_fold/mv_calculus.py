@@ -7,9 +7,11 @@ and the path moves by n_k such steps.  The endpoint only depends on the datum
 up to braid transitions; changing the word transports the entries through
 piecewise-linear moves, which need every braid order to be 2 or 3.
 
-Vertices for the full polytope come from prefix transports: for each Weyl
-element w we move the datum onto a word of w0 starting with a reduced word of
-w and read off the path point after l(w) letters.
+Vertices for the full polytope come from one walk over the breadth-first
+tree of braid moves rooted at the datum's word: each tree edge applies one
+move to the entry tuple, so the datum reaches every reduced word of w0.  For
+each Weyl element w the vertex is the path point after l(w) letters on a
+word of w0 that starts with a reduced word of w.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class LusztigDatum:
     def __post_init__(self):
         if len(self.word) != len(self.entries):
             raise ValueError("word and entries must have equal length")
-        if any(n < 0 for n in self.entries):
+        if min(self.entries, default=0) < 0:
             raise ValueError("entries must be nonnegative")
 
 
@@ -110,10 +112,12 @@ class MVCalculus:
         return PathVertices(word=word, points=tuple(points), steps=steps)
 
     def coweight(self, lus: LusztigDatum) -> Coweight:
-        word = self.require_word(lus.word)
-        steps = self.step_coweights(word)
+        return self._partial_sum(self.require_word(lus.word), lus.entries)
+
+    def _partial_sum(self, word: tuple[int, ...], entries: Sequence[int]) -> Coweight:
+        """Path point after len(entries) steps along a checked word."""
         total = (0,) * self.datum.d
-        for n, step in zip(lus.entries, steps):
+        for n, step in zip(entries, self.step_coweights(word)):
             total = tuple(a + n * b for a, b in zip(total, step.coords))
         return Coweight(total)
 
@@ -146,20 +150,10 @@ class MVCalculus:
             )
         if k - 1 + m > len(word):
             raise ValueError(f"braid window at position {k} runs off the word")
-        window = word[k - 1 : k - 1 + m]
-        expect = tuple(a if t % 2 == 0 else b for t in range(m))
-        if window != expect:
+        if word[k - 1 : k - 1 + m] != (a, b, a)[:m]:
             raise ValueError(f"no braid move of order {m} starts at position {k}")
-        flipped = tuple(b if t % 2 == 0 else a for t in range(m))
-        new_word = word[: k - 1] + flipped + word[k - 1 + m :]
-        n = lus.entries
-        if m == 2:
-            new_entries = n[: k - 1] + (n[k], n[k - 1]) + n[k + 1 :]
-        else:
-            p = min(n[k - 1], n[k + 1])
-            triple = (n[k] + n[k + 1] - p, p, n[k - 1] + n[k] - p)
-            new_entries = n[: k - 1] + triple + n[k + 2 :]
-        return LusztigDatum(word=new_word, entries=new_entries)
+        new_word = word[: k - 1] + (b, a, b)[:m] + word[k - 1 + m :]
+        return LusztigDatum(word=new_word, entries=_braid_move(lus.entries, k, m))
 
     # -- word graph and transport ------------------------------------------------
 
@@ -173,16 +167,11 @@ class MVCalculus:
                             f"order {self.group.coxeter_order(i, j)} at ({i}, {j})"
                         )
             words = self.group.reduced_words(self.group.longest_element())
-            adj = {}
-            for word in words:
-                adj[word] = tuple(
-                    (k, nb) for k, m, nb in self.group.braid_neighbors(word)
-                )
-            self._graph = adj
+            self._graph = {word: self.group.braid_neighbors(word) for word in words}
         return self._graph
 
     def _tree_from(self, src: tuple[int, ...]) -> dict:
-        """Breadth-first parents: node -> (previous node, move position)."""
+        """Breadth-first parents, in BFS order: node -> (previous node, k, m)."""
         tree = self._trees.get(src)
         if tree is None:
             adj = self._word_graph()
@@ -193,36 +182,37 @@ class MVCalculus:
             while frontier:
                 nxt = []
                 for node in frontier:
-                    for k, nb in adj[node]:
+                    for k, m, nb in adj[node]:
                         if nb not in tree:
-                            tree[nb] = (node, k)
+                            tree[nb] = (node, k, m)
                             nxt.append(nb)
                 frontier = nxt
             self._trees[src] = tree
         return tree
 
-    def transport_path(self, src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
-        """Braid move positions leading from src to dst (already verified words)."""
+    def _route(self, src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        """Braid moves (k, m) leading from src to dst (already checked words)."""
         tree = self._tree_from(src)
         if dst not in tree:
             raise ValueError("words are not connected by braid moves")
         moves = []
         cur = dst
         while tree[cur] is not None:
-            prev, k = tree[cur]
-            moves.append(k)
-            cur = prev
+            cur, k, m = tree[cur]
+            moves.append((k, m))
         return tuple(reversed(moves))
+
+    def transport_path(self, src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
+        """Braid move positions leading from src to dst (already verified words)."""
+        return tuple(k for k, _ in self._route(src, dst))
 
     def transport(self, lus: LusztigDatum, target: Sequence[int]) -> LusztigDatum:
         src = self.require_word(lus.word)
         dst = self.require_word(target)
-        cur = lus
-        for k in self.transport_path(src, dst):
-            cur = self.braid_transition(cur, k)
-        if cur.word != dst:
-            raise AssertionError("transport did not land on the target word")
-        return cur
+        entries = lus.entries
+        for k, m in self._route(src, dst):
+            entries = _braid_move(entries, k, m)
+        return LusztigDatum(word=dst, entries=entries)
 
     # -- GGMS vertices -------------------------------------------------------------
 
@@ -241,16 +231,19 @@ class MVCalculus:
         return self._prefix_targets
 
     def ggms_datum(self, lus: LusztigDatum) -> GGMSDatum:
-        """All polytope vertices of the datum, by prefix transport."""
-        vertices = []
-        for w, target, plen in self._prefix_target_list():
-            moved = self.transport(lus, target)
-            steps = self.step_coweights(target)
-            total = (0,) * self.datum.d
-            for n, step in zip(moved.entries[:plen], steps[:plen]):
-                total = tuple(a + n * b for a, b in zip(total, step.coords))
-            vertices.append((w, Coweight(total)))
-        return GGMSDatum(vertices=tuple(vertices))
+        """All polytope vertices of the datum, by one walk over its braid-move tree."""
+        src = self.require_word(lus.word)
+        moved = {src: lus.entries}
+        for node, edge in self._tree_from(src).items():  # BFS order: parents first
+            if edge is not None:
+                prev, k, m = edge
+                moved[node] = _braid_move(moved[prev], k, m)
+        return GGMSDatum(
+            vertices=tuple(
+                (w, self._partial_sum(target, moved[target][:plen]))
+                for w, target, plen in self._prefix_target_list()
+            )
+        )
 
     def validate_ggms(self, g: GGMSDatum) -> bool:
         """Pairwise vertex compatibility: nu_w >=_w nu_w' in integer mode."""
@@ -299,29 +292,24 @@ class MVCalculus:
     def enumerate_data(self, word: Sequence[int], nu: Coweight) -> tuple[LusztigDatum, ...]:
         """All data on the word with path endpoint nu, in lexicographic order."""
         word = self.require_word(word)
-        target = self._target_cocoeffs(nu)
-        if target is None:
-            return ()
-        table = self.datum.coroot_coefficient_table()
-        step_coeffs = []
-        for step in self.step_coweights(word):
-            pos = tuple(-x for x in step.coords)
-            step_coeffs.append(table[pos])
-        sols = _nonneg_solutions(step_coeffs, target)
-        return tuple(LusztigDatum(word=word, entries=s) for s in sols)
+        return self._block_data(word, tuple((pos,) for pos in range(1, len(word) + 1)), nu)
 
-    def enumerate_block_data(
-        self, sw: SigmaWord, nu: Coweight
-    ) -> tuple[LusztigDatum, ...]:
+    def enumerate_block_data(self, sw: SigmaWord, nu: Coweight) -> tuple[LusztigDatum, ...]:
         """Data on the sigma-compatible word, constant on blocks, endpoint nu."""
-        word = self.require_word(sw.word)
+        return self._block_data(self.require_word(sw.word), sw.blocks, nu)
+
+    def _block_data(
+        self, word: tuple[int, ...], blocks: Sequence[tuple[int, ...]], nu: Coweight
+    ) -> tuple[LusztigDatum, ...]:
+        """Data on a checked word, constant on each block of 1-based positions,
+        with endpoint nu; lexicographic in the block values."""
         target = self._target_cocoeffs(nu)
         if target is None:
             return ()
         table = self.datum.coroot_coefficient_table()
         steps = self.step_coweights(word)
         block_coeffs = []
-        for block in sw.blocks:
+        for block in blocks:
             acc = (0,) * self.datum.rank
             for pos in block:
                 step = steps[pos - 1]
@@ -332,7 +320,7 @@ class MVCalculus:
         out = []
         for s in sols:
             entries = [0] * len(word)
-            for value, block in zip(s, sw.blocks):
+            for value, block in zip(s, blocks):
                 for pos in block:
                     entries[pos - 1] = value
             out.append(LusztigDatum(word=word, entries=tuple(entries)))
@@ -365,6 +353,17 @@ class MVCalculus:
             return got
 
         return count(0, target)
+
+
+def _braid_move(entries: tuple[int, ...], k: int, m: int) -> tuple[int, ...]:
+    """Entries after the braid move of order m at 1-based position k: order 2
+    swaps, order 3 is the tropical rule (a, b, c) -> (b + c - p, p, a + b - p),
+    p = min(a, c), of Berenstein-Zelevinsky."""
+    n = entries
+    if m == 2:
+        return n[: k - 1] + (n[k], n[k - 1]) + n[k + 1 :]
+    p = min(n[k - 1], n[k + 1])
+    return n[: k - 1] + (n[k] + n[k + 1] - p, p, n[k - 1] + n[k] - p) + n[k + 2 :]
 
 
 def _nonneg_solutions(

@@ -18,6 +18,8 @@ from . import linalg
 
 DEFAULT_WORD_CAP = 10 ** 6
 _ENV_WORD_CAP = "SATAKE_FOLD_MAX_WORDS"
+# Order of s_i s_j by the Cartan product a_ij * a_ji, for finite type.
+_COXETER_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
 def _word_cap_default() -> int:
@@ -278,10 +280,9 @@ class WeylGroup:
         if i == j:
             return 1
         prod = self.datum.cartan[i - 1][j - 1] * self.datum.cartan[j - 1][i - 1]
-        table = {0: 2, 1: 3, 2: 4, 3: 6}
-        if prod not in table:
+        if prod not in _COXETER_ORDER:
             raise ValueError(f"Cartan product {prod} at ({i}, {j}) is not finite type")
-        return table[prod]
+        return _COXETER_ORDER[prod]
 
     def braid_neighbors(self, word: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
         """Words one braid move away, as (k, m, word) with 1-based start position k.
@@ -298,12 +299,9 @@ class WeylGroup:
             m = self.coxeter_order(a, b)
             if k + m > n:
                 continue
-            window = word[k : k + m]
-            expect = tuple(a if t % 2 == 0 else b for t in range(m))
-            if window != expect:
+            if word[k : k + m] != ((a, b) * 3)[:m]:
                 continue
-            flipped = tuple(b if t % 2 == 0 else a for t in range(m))
-            out.append((k + 1, m, word[:k] + flipped + word[k + m :]))
+            out.append((k + 1, m, word[:k] + ((b, a) * 3)[:m] + word[k + m :]))
         return tuple(out)
 
 

@@ -235,6 +235,48 @@ def test_ggms_identity_vertex_is_zero_and_longest_is_the_coweight():
     assert g.vertex(group.longest_element()) == coweight(a3, L)
 
 
+def _vertices_by_checked_routes(datum, L):
+    """Each vertex by replaying the transport route to its prefix target
+    through the checked braid_transition, then reading the path point."""
+    calc = mv_calculus(datum)
+    group = weyl_group(datum)
+    w0 = group.longest_element()
+    out = {}
+    for w in group.elements():
+        target = w.word + (w.inverse() * w0).word
+        moved = L
+        for k in calc.transport_path(L.word, target):
+            moved = braid_transition(datum, moved, k)
+        assert moved.word == target
+        out[w] = path_vertices(datum, moved).points[w.length]
+    return out
+
+
+def test_ggms_tree_walk_matches_checked_routes_a3():
+    a3 = builtin_datum("A3")
+    for src in reduced_words(a3, longest_element(a3)):
+        for entries in itertools.product(range(2), repeat=6):
+            L = lus(src, entries)
+            assert ggms_datum(a3, L).as_dict() == _vertices_by_checked_routes(a3, L)
+
+
+def test_ggms_tree_walk_matches_checked_routes_on_the_d4_verify_data():
+    d4 = builtin_datum("D4")
+    sigma = builtin_sigma("D4-rot3", d4)
+    sw = sigma_compatible_word(d4, sigma)
+    mu = cw(1, 2, 1, 1)
+    calc = mv_calculus(d4)
+    data = [
+        L
+        for lam in d4.weight_set(mu)
+        if sigma.apply_to_coweight(lam) == lam
+        for L in calc.enumerate_block_data(sw, lam - mu)
+    ]
+    assert len(data) == 27
+    for L in data:
+        assert ggms_datum(d4, L).as_dict() == _vertices_by_checked_routes(d4, L)
+
+
 def test_validate_ggms():
     a2 = builtin_datum("A2")
     calc = mv_calculus(a2)
