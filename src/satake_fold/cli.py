@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import characters, twining_verifier
@@ -38,15 +37,6 @@ from .root_datum import (
     load_datum,
 )
 from .weyl import weyl_group
-
-
-@dataclass
-class JobSpec:
-    """Validated inputs for one invocation, resolved before any computation."""
-
-    datum: RootDatum
-    sigma: Optional[PinnedAut]
-    fmt: str
 
 
 def _resolve_datum(name_or_path: str) -> RootDatum:

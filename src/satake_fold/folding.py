@@ -415,13 +415,6 @@ def _orbit_expansions(orbit: tuple[int, ...], otype: OrbitType) -> tuple[tuple[i
     return ((i, j, i), (j, i, j))
 
 
-def _default_orbit_word(orbit: tuple[int, ...], otype: OrbitType) -> tuple[int, ...]:
-    if otype is OrbitType.DISCONNECTED:
-        return tuple(orbit)
-    i, j = orbit
-    return (i, j, i)
-
-
 def sigma_compatible_word(
     datum: RootDatum, sigma: PinnedAut, word_sigma: Optional[Sequence[int]] = None
 ) -> SigmaWord:
@@ -446,7 +439,7 @@ def sigma_compatible_word(
     word: list[int] = []
     blocks: list[tuple[int, ...]] = []
     for t in word_sigma:
-        block = _default_orbit_word(orbit_data.orbits[t - 1], orbit_data.types[t - 1])
+        block = _orbit_expansions(orbit_data.orbits[t - 1], orbit_data.types[t - 1])[0]
         start = len(word) + 1
         word.extend(block)
         blocks.append(tuple(range(start, start + len(block))))

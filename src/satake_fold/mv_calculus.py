@@ -12,12 +12,20 @@ tree of braid moves rooted at the datum's word: each tree edge applies one
 move to the entry tuple, so the datum reaches every reduced word of w0.  For
 each Weyl element w the vertex is the path point after l(w) letters on a
 word of w0 that starts with a reduced word of w.
+
+Membership needs none of those vertices: by Kashiwara's embedding B(mu) in
+B(infinity) and Kamnitzer's MV-polytope theorem (Annals 2010), the polytope
+stays in hull(W mu) exactly when eps_i^*(b) <= <alpha_i, mu> for each simple
+i, where eps_i^*(b) is the first entry of the datum transported to a word of
+w0 starting with i.  The |W|-vertex test lives in the tests, as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import NonSimplyLacedError
@@ -76,7 +84,7 @@ class MVCalculus:
         self._graph: Optional[dict] = None
         self._trees: dict = {}
         self._prefix_targets: Optional[tuple] = None
-        self._kostant_memo: dict = {}
+        self._start_words: Optional[tuple] = None
 
     # -- plain path geometry -------------------------------------------------
 
@@ -209,10 +217,13 @@ class MVCalculus:
     def transport(self, lus: LusztigDatum, target: Sequence[int]) -> LusztigDatum:
         src = self.require_word(lus.word)
         dst = self.require_word(target)
-        entries = lus.entries
+        return LusztigDatum(word=dst, entries=self._carry(lus.entries, src, dst))
+
+    def _carry(self, entries: tuple[int, ...], src: tuple, dst: tuple) -> tuple[int, ...]:
+        """Entries after the moves of the tree route from src to dst (checked words)."""
         for k, m in self._route(src, dst):
             entries = _braid_move(entries, k, m)
-        return LusztigDatum(word=dst, entries=entries)
+        return entries
 
     # -- GGMS vertices -------------------------------------------------------------
 
@@ -256,27 +267,37 @@ class MVCalculus:
 
     # -- the membership test -------------------------------------------------------
 
+    def _start_word_list(self) -> tuple:
+        """For each simple i: (i, a word of w0 that starts with i)."""
+        if self._start_words is None:
+            w0 = self.group.longest_element()
+            self._start_words = tuple(
+                (i, (i,) + (self.group.simple(i) * w0).word) for i in self.group.simple_indices
+            )
+        return self._start_words
+
     def is_mv(self, lus: LusztigDatum, mu: Coweight) -> bool:
         """Does the polytope of the datum, shifted to mu, stay in hull(W mu)?
 
         mu must be dominant and lambda = mu + coweight must lie in the weight
-        set of mu; the test then checks nu_w + mu <=_w w(mu) at every vertex,
-        with rational cone coefficients.
+        set of mu; the test is then the crystal bound eps_i^* <= <alpha_i, mu>
+        for each simple i (Kashiwara, Kamnitzer), eps_i^* being the first entry
+        of the datum transported to a word of w0 that starts with i.
         """
         if not self.datum.is_dominant(mu):
             raise ValueError("is_mv needs a dominant mu")
-        lam = mu + self.coweight(lus)
+        word = self.require_word(lus.word)
+        lam = mu + self._partial_sum(word, lus.entries)
         dom = self.datum.dominant_representative(lam)
         if not self.datum.dominance_le(dom, mu, "rational"):
             raise ValueError(
                 f"lambda {lam.coords} lies outside hull(W mu); not a weight of mu"
             )
-        for w, nu_w in self.ggms_datum(lus).vertices:
-            winv = w.inverse()
-            lhs = winv.apply(nu_w + mu)
-            if not self.datum.dominance_le(lhs, mu, "rational"):
-                return False
-        return True
+        return all(
+            self._carry(lus.entries, word, target)[0]
+            <= linalg.dot(self.datum.simple_roots[i - 1].coords, mu.coords)
+            for i, target in self._start_word_list()
+        )
 
     # -- enumeration ------------------------------------------------------------------
 
@@ -330,29 +351,23 @@ class MVCalculus:
         """Number of multiset decompositions of -nu into positive coroots.
 
         Counted straight over the coroot list, with no reference to words or
-        Lusztig data, so it can serve as an independent cross-check.
+        Lusztig data, so it can serve as an independent cross-check: one
+        unbounded-knapsack pass per positive coroot over the box of
+        coefficient vectors below the target, in lexicographic order.
         """
         target = self._target_cocoeffs(nu)
         if target is None:
             return 0
-        coeffs = tuple(self.datum.coroot_coefficient_table().values())
-
-        def count(idx: int, rem: tuple[int, ...]) -> int:
-            if all(x == 0 for x in rem):
-                return 1
-            if idx == len(coeffs):
-                return 0
-            key = (idx, rem)
-            got = self._kostant_memo.get(key)
-            if got is None:
-                got = count(idx + 1, rem)
-                step = coeffs[idx]
-                if all(r >= s for r, s in zip(rem, step)):
-                    got += count(idx, tuple(r - s for r, s in zip(rem, step)))
-                self._kostant_memo[key] = got
-            return got
-
-        return count(0, target)
+        strides = [1] * len(target)
+        for j in range(len(target) - 1, 0, -1):
+            strides[j - 1] = strides[j] * (target[j] + 1)
+        ways = [1] + [0] * (prod(t + 1 for t in target) - 1)
+        for coeff in self.datum.coroot_coefficient_table().values():
+            shift = sum(c * s for c, s in zip(coeff, strides))
+            for cell in product(*(range(c, t + 1) for c, t in zip(coeff, target))):
+                idx = sum(x * s for x, s in zip(cell, strides))
+                ways[idx] += ways[idx - shift]
+        return ways[-1]
 
 
 def _braid_move(entries: tuple[int, ...], k: int, m: int) -> tuple[int, ...]:

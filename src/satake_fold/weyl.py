@@ -195,9 +195,6 @@ class WeylGroup:
         self._canon[mat] = result
         return result
 
-    def length(self, w: WeylElement) -> int:
-        return len(self.canonical_word(w.mat))
-
     # -- enumeration -----------------------------------------------------------
 
     def elements(self) -> tuple[WeylElement, ...]:

@@ -135,6 +135,13 @@ def test_kostant(capsys):
     assert payload == {"nu": [-1, -1], "kostant": 2}
 
 
+def test_kostant_deep_target(capsys):
+    # For A2 the count at -(a, a) is a + 1: a copies of theta or of both simples.
+    rc, payload = run_json(capsys, "kostant", "--group", "A2", "--nu=-500,-500")
+    assert rc == 0
+    assert payload == {"nu": [-500, -500], "kostant": 501}
+
+
 def test_twining(capsys):
     rc, payload = run_json(
         capsys, "twining", "--group", "A2", "--sigma", "A2-swap", "--mu", "1,1"

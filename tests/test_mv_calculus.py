@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake_fold import (
     Coweight,
@@ -25,6 +26,7 @@ from satake_fold import (
     reduced_words,
     sigma_compatible_word,
     transport,
+    weyl_dimension,
     weyl_group,
 )
 from satake_fold.mv_calculus import coweight, mv_calculus
@@ -328,6 +330,87 @@ def test_is_mv_rejects_points_outside_the_orbit_hull():
     with pytest.raises(ValueError) as excinfo:
         is_mv(a2, lus((1, 2, 1), (1, 0, 1)), cw(0, 0))
     assert "lies outside hull(W mu)" in str(excinfo.value)
+
+
+def _vertex_oracle(calc, L, mu):
+    """The |W|-vertex membership test: w^{-1}(nu_w + mu) <= mu, with rational
+    coefficients, at every vertex nu_w of the datum's polytope."""
+    return all(
+        calc.datum.dominance_le(w.inverse().apply(nu_w + mu), mu, "rational")
+        for w, nu_w in calc.ggms_datum(L).vertices
+    )
+
+
+def _assert_is_mv_matches_the_oracle(calc, data, mu):
+    accepted = 0
+    for L in data:
+        verdict = calc.is_mv(L, mu)
+        assert verdict == _vertex_oracle(calc, L, mu), (L, mu)
+        accepted += verdict
+    return accepted
+
+
+def test_is_mv_matches_the_vertex_oracle_on_every_datum():
+    # On each word, the accepted data of all weights of mu number dim V(mu).
+    cases = [
+        ("A2", [(1, 1), (2, 1), (3, 2)], False),
+        ("pgl3", [(1, 1), (2, 2)], False),
+        ("A3", [(1, 1, 1), (1, 2, 1)], True),
+        ("A4", [(1, 1, 1, 1)], False),
+        ("D4", [(1, 2, 1, 1)], False),
+    ]
+    for name, mus, all_words in cases:
+        datum = builtin_datum(name)
+        calc = mv_calculus(datum)
+        w0 = longest_element(datum)
+        words = reduced_words(datum, w0) if all_words else (w0.word,)
+        for coords in mus:
+            mu = cw(*coords)
+            for word in words:
+                data = [L for lam in datum.weight_set(mu) for L in enumerate_data(datum, word, lam - mu)]
+                accepted = _assert_is_mv_matches_the_oracle(calc, data, mu)
+                assert accepted == weyl_dimension(datum, mu), (name, coords, word)
+
+
+def test_is_mv_matches_the_vertex_oracle_on_d4_triality_block_data():
+    d4 = builtin_datum("D4")
+    sigma = builtin_sigma("D4-rot3", d4)
+    sw = sigma_compatible_word(d4, sigma)
+    calc = mv_calculus(d4)
+    for coords, n_data in [((1, 2, 1, 1), 27), ((2, 3, 2, 2), 114)]:
+        mu = cw(*coords)
+        data = [
+            L
+            for lam in d4.weight_set(mu)
+            if sigma.apply_to_coweight(lam) == lam
+            for L in calc.enumerate_block_data(sw, lam - mu)
+        ]
+        assert len(data) == n_data
+        _assert_is_mv_matches_the_oracle(calc, data, mu)
+
+
+def _small_dominant(datum):
+    return [
+        cw(*c) for c in itertools.product(range(4), repeat=datum.rank) if datum.is_dominant(cw(*c))
+    ]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_is_mv_matches_the_vertex_oracle_on_random_data(data):
+    datum = builtin_datum(data.draw(st.sampled_from(("A3", "D4")), label="group"))
+    word = data.draw(st.sampled_from(reduced_words(datum, longest_element(datum))), label="word")
+    # Mostly zero entries, so that many data land inside hull(W mu).
+    entry = st.one_of(st.just(0), st.integers(0, 3))
+    entries = data.draw(st.tuples(*[entry] * len(word)), label="entries")
+    mu = data.draw(st.sampled_from(_small_dominant(datum)), label="mu")
+    L = lus(word, entries)
+    if mu + coweight(datum, L) in datum.weight_set(mu):
+        assert is_mv(datum, L, mu) == _vertex_oracle(mv_calculus(datum), L, mu)
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            is_mv(datum, L, mu)
+        assert "lies outside hull(W mu)" in str(excinfo.value)
 
 
 def test_enumerate_data_a2():
