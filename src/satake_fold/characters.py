@@ -2,9 +2,12 @@
 
 The representation-theoretic operations here are for the group whose roots
 are the datum's coroots, so highest weights, weight sets, and characters all
-live in the coweight lattice.  Multiplicities come from the standard
-recursion over an invariant bilinear form, kept in integers throughout; the
-dimension product formula is a second, independent consistency anchor.
+live in the coweight lattice.  Multiplicities come from Freudenthal's
+recursion, in integers, over the invariant form sum_a <a, x><a, y> through its
+Gram matrix.  It runs on the dominant weights only, in decreasing height, and
+copies each value to the W-orbit (Moody-Patera, Bull. AMS 1982); the weight
+set is built from those orbits (Stembridge, Adv. Math. 1998).  The dimension
+product formula is a second, independent consistency anchor.
 """
 
 from __future__ import annotations
@@ -56,47 +59,35 @@ class CharPoly:
         }
 
 
-def _pairing_form(datum: RootDatum):
-    """Integer form on coweights: sum of root-pairing products, Weyl invariant."""
-    roots = [a.coords for a in datum.positive_roots()]
-
-    def form(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        total = 0
-        for a in roots:
-            total += linalg.dot(a, x) * linalg.dot(a, y)
-        return total
-
-    return form
-
-
 def _freudenthal_table(datum: RootDatum, mu: Coweight) -> dict[tuple[int, ...], int]:
-    """Multiplicity of every weight of the highest-coweight-mu module."""
+    """Multiplicity of every weight of mu's module, in reversed(weight_set) order."""
     key = ("freudenthal", mu.coords)
     table = datum._cache.get(key)
     if table is not None:
         return table
-    weights = datum.weight_set(mu)
-    form = _pairing_form(datum)
+    # Gram matrix of the invariant form (x, y) = sum over positive roots a of <a, x><a, y>.
+    roots = [a.coords for a in datum.positive_roots()]
+    gram = [[sum(a[i] * a[j] for a in roots) for j in range(datum.d)] for i in range(datum.d)]
+    coroots = [(b.coords, linalg.mat_vec(gram, b.coords)) for b in datum.positive_coroots()]
     two_rho_vee = datum.two_rho_vee().coords
-    coroots = [b.coords for b in datum.positive_coroots()]
-    known = {lam.coords for lam in weights}
     table = {}
-    for lam in reversed(weights):
-        lc = lam.coords
+    # Decreasing height: dominant conjugates and chain terms are filled first.
+    for lc, dom in reversed(datum._dominant_conjugates(mu).items()):
+        if lc != dom:
+            table[lc] = table[dom]
+            continue
         if lc == mu.coords:
             table[lc] = 1
             continue
         rhs = 0
-        for beta in coroots:
-            cur = lc
-            while True:
+        for beta, gram_beta in coroots:
+            cur = tuple(a + b for a, b in zip(lc, beta))
+            while cur in table:
+                rhs += table[cur] * linalg.dot(cur, gram_beta)
                 cur = tuple(a + b for a, b in zip(cur, beta))
-                if cur not in known:
-                    break
-                rhs += table[cur] * form(cur, beta)
-        denom = form(
+        denom = linalg.dot(
             tuple(m + l + t for m, l, t in zip(mu.coords, lc, two_rho_vee)),
-            tuple(m - l for m, l in zip(mu.coords, lc)),
+            linalg.mat_vec(gram, tuple(m - l for m, l in zip(mu.coords, lc))),
         )
         if denom <= 0:
             raise AssertionError("multiplicity recursion hit a nonpositive divisor")

@@ -246,12 +246,10 @@ def fold(datum: RootDatum, sigma: PinnedAut) -> FoldedDatum:
         if len(images) != 1:
             raise AssertionError("orbit roots do not share a folded image")
         folded_roots.append(Weight(images.pop()))
-        total = (0,) * d
-        for i in orbit:
-            total = tuple(a + b for a, b in zip(total, datum.simple_coroots[i - 1].coords))
+        total = sum((datum.simple_coroots[i - 1] for i in orbit), Coweight((0,) * d))
         if otype is OrbitType.CONNECTED_PAIR:
-            total = tuple(2 * a for a in total)
-        sol = linalg.solve_columns(incl_cols, total)
+            total = total.scale(2)
+        sol = linalg.solve_columns(incl_cols, total.coords)
         if sol is None or any(x.denominator != 1 for x in sol):
             raise AssertionError("folded coroot is not in the invariant lattice")
         folded_coroots.append(Coweight(tuple(int(x) for x in sol)))

@@ -9,9 +9,9 @@ piecewise-linear moves, which need every braid order to be 2 or 3.
 
 Vertices for the full polytope come from one walk over the breadth-first
 tree of braid moves rooted at the datum's word: each tree edge applies one
-move to the entry tuple, so the datum reaches every reduced word of w0.  For
-each Weyl element w the vertex is the path point after l(w) letters on a
-word of w0 that starts with a reduced word of w.
+move to the entry tuple.  For each Weyl element w the vertex is the path
+point after l(w) letters on a word of w0 that starts with a reduced word of
+w, so the walk visits only those |W| words and their tree ancestors.
 
 Membership needs none of those vertices: by Kashiwara's embedding B(mu) in
 B(infinity) and Kamnitzer's MV-polytope theorem (Annals 2010), the polytope
@@ -75,7 +75,7 @@ class GGMSDatum:
 
 
 class MVCalculus:
-    """Shared caches for one datum: word graph, transports, prefix targets."""
+    """Shared caches for one datum: checked words, word graph, routes, prefix targets."""
 
     def __init__(self, datum: RootDatum):
         datum.require_valid()
@@ -85,14 +85,18 @@ class MVCalculus:
         self._trees: dict = {}
         self._prefix_targets: Optional[tuple] = None
         self._start_words: Optional[tuple] = None
+        self._checked_words: set = set()
+        self._walks: dict = {}
 
     # -- plain path geometry -------------------------------------------------
 
     def require_word(self, word: Sequence[int]) -> tuple[int, ...]:
         word = tuple(word)
-        w0 = self.group.longest_element()
-        if len(word) != w0.length or self.group.element(word) != w0:
-            raise ValueError(f"{word} is not a reduced word for the longest element")
+        if word not in self._checked_words:
+            w0 = self.group.longest_element()
+            if len(word) != w0.length or self.group.element(word) != w0:
+                raise ValueError(f"{word} is not a reduced word for the longest element")
+            self._checked_words.add(word)
         return word
 
     def step_coweights(self, word: tuple[int, ...]) -> tuple[Coweight, ...]:
@@ -241,14 +245,27 @@ class MVCalculus:
             self._prefix_targets = tuple(out)
         return self._prefix_targets
 
+    def _walk_from(self, src: tuple[int, ...]) -> tuple:
+        """Tree edges (node, prev, k, m) to the prefix targets and their ancestors, BFS order."""
+        walk = self._walks.get(src)
+        if walk is None:
+            tree = self._tree_from(src)
+            needed = set()
+            for _, target, _ in self._prefix_target_list():
+                node = target
+                while node not in needed and tree[node] is not None:
+                    needed.add(node)
+                    node = tree[node][0]
+            walk = tuple((node,) + edge for node, edge in tree.items() if node in needed)
+            self._walks[src] = walk
+        return walk
+
     def ggms_datum(self, lus: LusztigDatum) -> GGMSDatum:
         """All polytope vertices of the datum, by one walk over its braid-move tree."""
         src = self.require_word(lus.word)
         moved = {src: lus.entries}
-        for node, edge in self._tree_from(src).items():  # BFS order: parents first
-            if edge is not None:
-                prev, k, m = edge
-                moved[node] = _braid_move(moved[prev], k, m)
+        for node, prev, k, m in self._walk_from(src):
+            moved[node] = _braid_move(moved[prev], k, m)
         return GGMSDatum(
             vertices=tuple(
                 (w, self._partial_sum(target, moved[target][:plen]))

@@ -295,18 +295,12 @@ class RootDatum:
 
     def two_rho_vee(self) -> Coweight:
         if "2rhov" not in self._cache:
-            total = (0,) * self.d
-            for cv in self.positive_coroots():
-                total = tuple(a + b for a, b in zip(total, cv.coords))
-            self._cache["2rhov"] = Coweight(total)
+            self._cache["2rhov"] = sum(self.positive_coroots(), Coweight((0,) * self.d))
         return self._cache["2rhov"]
 
     def two_rho(self) -> Weight:
         if "2rho" not in self._cache:
-            total = (0,) * self.d
-            for root in self.positive_roots():
-                total = tuple(a + b for a, b in zip(total, root.coords))
-            self._cache["2rho"] = Weight(total)
+            self._cache["2rho"] = sum(self.positive_roots(), Weight((0,) * self.d))
         return self._cache["2rho"]
 
     def height2(self, v: Coweight | RationalCoweight):
@@ -374,43 +368,41 @@ class RootDatum:
             else:
                 return Coweight(cur)
 
-    def weight_set(self, mu: Coweight) -> tuple[Coweight, ...]:
-        """All lattice points of hull(W mu) in the coset mu + coroot lattice.
+    def _dominant_conjugates(self, mu: Coweight) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Map each weight of mu to its dominant conjugate, keyed in weight_set order.
 
-        Exactly the weights of the irreducible with highest weight mu for the
-        group whose roots are this datum's coroots.  Requires dominant mu.
+        Dominant weights below mu are reached from mu through dominant points by
+        subtracting positive coroots (Stembridge, Adv. Math. 1998); the W-orbit
+        of each is expanded by the simple reflections that lower it.
         """
         self.require_valid()
         if not self.is_dominant(mu):
             raise ValueError("weight_set requires a dominant coweight")
-        member: dict[tuple[int, ...], bool] = {}
+        steps = [(a.coords, v.coords) for a, v in zip(self.simple_roots, self.simple_coroots)]
+        conj = {mu.coords: mu.coords}
+        dominant = [mu.coords]
+        for lam in dominant:  # grows while it is read
+            orbit = [lam]
+            for x in orbit:
+                for a, av in steps:
+                    p = linalg.dot(a, x)
+                    if p > 0 and (y := tuple(c - p * v for c, v in zip(x, av))) not in conj:
+                        conj[y] = lam
+                        orbit.append(y)
+            for beta in self.positive_coroots():
+                y = tuple(a - b for a, b in zip(lam, beta.coords))
+                if y not in conj and self.is_dominant(Coweight(y)):
+                    conj[y] = y
+                    dominant.append(y)
+        two_rho = self.two_rho().coords
+        return {c: conj[c] for c in sorted(conj, key=lambda c: (linalg.dot(two_rho, c), c))}
 
-        def ok(coords: tuple[int, ...]) -> bool:
-            got = member.get(coords)
-            if got is None:
-                dom = self.dominant_representative(Coweight(coords))
-                got = self.dominance_le(dom, mu, "rational")
-                member[coords] = got
-            return got
-
-        seen = {mu.coords}
-        frontier = [mu.coords]
-        found = [mu.coords]
-        while frontier:
-            nxt = []
-            for coords in frontier:
-                for cv in self.simple_coroots:
-                    for sign in (1, -1):
-                        cand = tuple(a + sign * b for a, b in zip(coords, cv.coords))
-                        if cand not in seen:
-                            seen.add(cand)
-                            if ok(cand):
-                                nxt.append(cand)
-                                found.append(cand)
-            frontier = nxt
-        out = [Coweight(c) for c in found]
-        out.sort(key=lambda v: (self.height2(v), v.coords))
-        return tuple(out)
+    def weight_set(self, mu: Coweight) -> tuple[Coweight, ...]:
+        """All lattice points of hull(W mu) in the coset mu + coroot lattice,
+        sorted by height, then coordinates: the weights of the irreducible with
+        highest weight mu for the group whose roots are this datum's coroots,
+        as W-orbits of the dominant weights below mu.  Requires dominant mu."""
+        return tuple(Coweight(c) for c in self._dominant_conjugates(mu))
 
     # -- serialization -------------------------------------------------------
 

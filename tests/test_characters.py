@@ -9,6 +9,7 @@ from satake_fold import (
     builtin_sigma,
     character,
     enumerate_data,
+    fold,
     freudenthal_multiplicity,
     invariant_dominant_coweights,
     is_mv,
@@ -17,6 +18,7 @@ from satake_fold import (
     weyl_dimension,
     weyl_group,
 )
+from satake_fold.characters import _freudenthal_table
 
 
 def cw(*coords):
@@ -161,3 +163,74 @@ def test_polytope_count_matches_freudenthal_at_the_zero_weight_of_d4():
     hits = sum(1 for L in data if is_mv(d4, L, mu))
     assert hits == 4
     assert freudenthal_multiplicity(d4, mu, cw(0, 0, 0, 0)) == 4
+
+
+def _pairing_form(datum):
+    """Integer form on coweights: sum of root-pairing products, Weyl invariant."""
+    roots = [a.coords for a in datum.positive_roots()]
+
+    def form(x, y):
+        return sum(
+            sum(p * q for p, q in zip(a, x)) * sum(p * q for p, q in zip(a, y)) for a in roots
+        )
+
+    return form
+
+
+def _freudenthal_oracle(datum, mu):
+    """Freudenthal's recursion at every weight of mu, in reversed(weight_set) order."""
+    weights = datum.weight_set(mu)
+    form = _pairing_form(datum)
+    two_rho_vee = datum.two_rho_vee().coords
+    coroots = [b.coords for b in datum.positive_coroots()]
+    known = {lam.coords for lam in weights}
+    table = {}
+    for lam in reversed(weights):
+        lc = lam.coords
+        if lc == mu.coords:
+            table[lc] = 1
+            continue
+        rhs = 0
+        for beta in coroots:
+            cur = lc
+            while True:
+                cur = tuple(a + b for a, b in zip(cur, beta))
+                if cur not in known:
+                    break
+                rhs += table[cur] * form(cur, beta)
+        denom = form(
+            tuple(m + l + t for m, l, t in zip(mu.coords, lc, two_rho_vee)),
+            tuple(m - l for m, l in zip(mu.coords, lc)),
+        )
+        assert denom > 0 and (2 * rhs) % denom == 0, (lc, rhs, denom)
+        table[lc] = (2 * rhs) // denom
+    return table
+
+
+def _folded(group, sigma):
+    datum = builtin_datum(group)
+    return fold(datum, builtin_sigma(sigma, datum)).datum
+
+
+# The folded data are not simply laced (D4-rot3 folds to G2, A4-flip to C2),
+# so a form that is right only up to a symmetrizer shows up there.
+FREUDENTHAL_CASES = [
+    ("A1", lambda: builtin_datum("A1"), [(0,), (1,), (4,)]),
+    ("A2", lambda: builtin_datum("A2"), [(0, 0), (1, 1), (2, 1), (3, 2)]),
+    ("pgl3", lambda: builtin_datum("pgl3"), [(1, 0), (1, 1), (2, 3)]),
+    ("A3", lambda: builtin_datum("A3"), [(1, 1, 1), (1, 2, 1), (2, 3, 2)]),
+    ("A4", lambda: builtin_datum("A4"), [(1, 1, 1, 1), (1, 2, 2, 1), (2, 2, 2, 2)]),
+    ("D4", lambda: builtin_datum("D4"), [(1, 2, 1, 1), (2, 2, 1, 1), (2, 3, 2, 2), (2, 4, 2, 2)]),
+    ("D4-rot3 fold", lambda: _folded("D4", "D4-rot3"), [(2, 1), (3, 2), (6, 4)]),
+    ("A4-flip fold", lambda: _folded("A4", "A4-flip"), [(1, 1), (3, 2), (4, 4)]),
+]
+
+
+@pytest.mark.parametrize("name,make,mus", FREUDENTHAL_CASES, ids=[c[0] for c in FREUDENTHAL_CASES])
+def test_dominant_only_recursion_matches_the_all_weights_oracle(name, make, mus):
+    datum = make()
+    for coords in mus:
+        mu = cw(*coords)
+        table = _freudenthal_table(datum, mu)
+        assert list(table.items()) == list(_freudenthal_oracle(datum, mu).items()), (name, coords)
+        assert list(table) == [w.coords for w in reversed(datum.weight_set(mu))], (name, coords)

@@ -29,7 +29,7 @@ from satake_fold import (
     weyl_dimension,
     weyl_group,
 )
-from satake_fold.mv_calculus import coweight, mv_calculus
+from satake_fold.mv_calculus import MVCalculus, coweight, mv_calculus
 
 
 def cw(*coords):
@@ -59,6 +59,30 @@ def test_require_word_rejects_non_longest_words():
     with pytest.raises(ValueError) as excinfo:
         calc.require_word((1, 2))
     assert "not a reduced word for the longest element" in str(excinfo.value)
+
+
+def test_require_word_rejects_a_bad_word_after_caching_a_good_one():
+    calc = MVCalculus(builtin_datum("A3"))
+    good = longest_element(calc.datum).word
+    assert calc.require_word(list(good)) == good
+    for bad in (good[:-1], good[1:] + good[:1], (1,) * len(good)):
+        for _ in range(2):
+            with pytest.raises(ValueError) as excinfo:
+                calc.require_word(bad)
+            assert str(excinfo.value) == f"{bad} is not a reduced word for the longest element"
+    assert calc.require_word(good) == good
+
+
+def test_require_word_checks_each_word_once(monkeypatch):
+    calc = MVCalculus(builtin_datum("A3"))
+    checked = []
+    element = calc.group.element
+    monkeypatch.setattr(calc.group, "element", lambda word: checked.append(word) or element(word))
+    words = reduced_words(calc.datum, longest_element(calc.datum))[:3]
+    for _ in range(3):
+        for word in words:
+            assert calc.require_word(word) == word
+    assert checked == list(words)
 
 
 def test_step_coweights_a2():

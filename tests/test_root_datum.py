@@ -1,9 +1,11 @@
 """Tests for lattice vectors, root data, and the built-in catalogue."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake_fold import (
     Coweight,
@@ -13,10 +15,14 @@ from satake_fold import (
     RootDatum,
     Weight,
     builtin_datum,
+    builtin_sigma,
+    character,
     datum_from_json_dict,
+    fold,
     load_datum,
     pairing,
     validate,
+    weyl_dimension,
 )
 
 BUILTIN_NAMES = ("A1", "A2", "A3", "A4", "D4", "sl5", "pgl3")
@@ -275,6 +281,84 @@ def test_weight_set_needs_dominant_input():
     with pytest.raises(ValueError) as excinfo:
         a2.weight_set(cw(-1, 0))
     assert "dominant" in str(excinfo.value)
+
+
+def _weight_set_oracle(datum, mu):
+    """The hull-membership weight set: walk from mu by +-simple coroots, keeping
+    each point whose dominant representative is <= mu with rational coefficients."""
+    seen = {mu.coords}
+    frontier = [mu.coords]
+    found = [mu.coords]
+    while frontier:
+        nxt = []
+        for coords in frontier:
+            for cv in datum.simple_coroots:
+                for sign in (1, -1):
+                    cand = tuple(a + sign * b for a, b in zip(coords, cv.coords))
+                    if cand not in seen:
+                        seen.add(cand)
+                        dom = datum.dominant_representative(Coweight(cand))
+                        if datum.dominance_le(dom, mu, "rational"):
+                            nxt.append(cand)
+                            found.append(cand)
+        frontier = nxt
+    out = [Coweight(c) for c in found]
+    out.sort(key=lambda v: (datum.height2(v), v.coords))
+    return tuple(out)
+
+
+def _folded(group, sigma):
+    datum = builtin_datum(group)
+    return fold(datum, builtin_sigma(sigma, datum)).datum
+
+
+# Folded data are not simply laced: D4-rot3 folds to G2, A4-flip to type C2.
+WEIGHT_SET_CASES = [
+    ("A1", lambda: builtin_datum("A1"), [(0,), (1,), (4,)]),
+    ("A2", lambda: builtin_datum("A2"), [(0, 0), (1, 1), (2, 1), (3, 2)]),
+    ("pgl3", lambda: builtin_datum("pgl3"), [(1, 0), (1, 1), (2, 3)]),
+    ("A3", lambda: builtin_datum("A3"), [(1, 1, 1), (1, 2, 1), (2, 3, 2)]),
+    ("A4", lambda: builtin_datum("A4"), [(1, 1, 1, 1), (1, 2, 2, 1), (2, 2, 2, 2)]),
+    ("D4", lambda: builtin_datum("D4"), [(1, 2, 1, 1), (2, 2, 1, 1), (2, 3, 2, 2), (2, 4, 2, 2)]),
+    ("gl2-style", gl2_style_datum, [(3, 0), (1, -4)]),
+    ("D4-rot3 fold", lambda: _folded("D4", "D4-rot3"), [(2, 1), (3, 2), (6, 4)]),
+    ("A4-flip fold", lambda: _folded("A4", "A4-flip"), [(1, 1), (3, 2), (4, 4)]),
+]
+
+
+@pytest.mark.parametrize("name,make,mus", WEIGHT_SET_CASES, ids=[c[0] for c in WEIGHT_SET_CASES])
+def test_weight_set_matches_the_hull_membership_oracle(name, make, mus):
+    datum = make()
+    for coords in mus:
+        mu = cw(*coords)
+        assert datum.weight_set(mu) == _weight_set_oracle(datum, mu), (name, coords)
+
+
+def _small_dominant(datum):
+    box = itertools.product(range(-2, 9), repeat=datum.d)
+    return [
+        cw(*c) for c in box if datum.is_dominant(cw(*c)) and weyl_dimension(datum, cw(*c)) <= 300
+    ]
+
+
+PROPERTY_DATA = {
+    "A2": builtin_datum("A2"),
+    "pgl3": builtin_datum("pgl3"),
+    "A3": builtin_datum("A3"),
+    "D4": builtin_datum("D4"),
+    "D4-rot3 fold": _folded("D4", "D4-rot3"),
+}
+PROPERTY_MUS = {name: _small_dominant(datum) for name, datum in PROPERTY_DATA.items()}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_weight_set_and_character_mass_on_random_dominant_mu(data):
+    name = data.draw(st.sampled_from(sorted(PROPERTY_DATA)), label="datum")
+    mu = data.draw(st.sampled_from(PROPERTY_MUS[name]), label="mu")
+    datum = PROPERTY_DATA[name]
+    assert datum.weight_set(mu) == _weight_set_oracle(datum, mu)
+    assert character(datum, mu).mass() == weyl_dimension(datum, mu)
 
 
 def test_validate_asymmetric_zero():
