@@ -118,10 +118,10 @@ def weyl_dimension(datum: RootDatum, mu: Coweight) -> int:
 
 
 def character(datum: RootDatum, mu: Coweight) -> CharPoly:
+    # The table runs down reversed(weight_set) and holds no zero, so read
+    # backwards it is already in CharPoly's term order.
     table = _freudenthal_table(datum, mu)
-    return CharPoly.from_map(
-        datum, {Coweight(coords): m for coords, m in table.items()}
-    )
+    return CharPoly(terms=tuple((Coweight(c), m) for c, m in reversed(table.items())))
 
 
 def mv_character(datum: RootDatum, mu: Coweight) -> CharPoly:

@@ -268,15 +268,18 @@ def _cmd_mv(args) -> int:
         word = weyl_group(datum).longest_element().word
     else:
         word = _parse_word(args.word, datum, "--word")
-    data = calc.enumerate_data(word, nu)
     if args.mv_command == "count":
-        payload = {"word": list(word), "nu": list(nu.coords), "count": len(data)}
+        # Every reduced word of w0 carries kostant(nu) data of coweight nu.
+        calc.require_word(word)
+        count = calc.kostant(nu)
+        payload = {"word": list(word), "nu": list(nu.coords), "count": count}
 
         def table():
-            return [f"{len(data)} data of coweight {args.nu} on word {list(word)}"]
+            return [f"{count} data of coweight {args.nu} on word {list(word)}"]
 
         _print_payload(payload, args.format, table)
         return 0
+    data = calc.enumerate_data(word, nu)
     payload = {
         "word": list(word),
         "nu": list(nu.coords),

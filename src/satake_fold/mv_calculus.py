@@ -7,11 +7,19 @@ and the path moves by n_k such steps.  The endpoint only depends on the datum
 up to braid transitions; changing the word transports the entries through
 piecewise-linear moves, which need every braid order to be 2 or 3.
 
-Vertices for the full polytope come from one walk over the breadth-first
-tree of braid moves rooted at the datum's word: each tree edge applies one
-move to the entry tuple.  For each Weyl element w the vertex is the path
-point after l(w) letters on a word of w0 that starts with a reduced word of
-w, so the walk visits only those |W| words and their tree ancestors.
+Routes between words are built locally, by Tits' solution of the word
+problem (Tits 1969; Matsumoto 1964): to bring a left descent i to the front
+of a reduced word starting with j, reshape the tail to start with the
+alternating (i, j, i, ...) of length m - 1, m the order of s_i s_j, then
+make one braid move of order m.  Doing this letter by letter along a target
+word gives a route to it.  The Berenstein-Zelevinsky moves give the same
+entries along every route, so no set of reduced words is ever enumerated.
+
+For each Weyl element w the polytope vertex is the path point after l(w)
+letters on a word of w0 that starts with a reduced word of w.  Canonical
+words extend their parent's by one letter, so each vertex is the parent's
+vertex plus one step, read after bringing that letter to the front of the
+parent's tail.
 
 Membership needs none of those vertices: by Kashiwara's embedding B(mu) in
 B(infinity) and Kamnitzer's MV-polytope theorem (Annals 2010), the polytope
@@ -75,18 +83,16 @@ class GGMSDatum:
 
 
 class MVCalculus:
-    """Shared caches for one datum: checked words, word graph, routes, prefix targets."""
+    """Shared caches for one datum: checked words, braid-move routes, vertex steps."""
 
     def __init__(self, datum: RootDatum):
         datum.require_valid()
         self.datum = datum
         self.group: WeylGroup = weyl_group(datum)
-        self._graph: Optional[dict] = None
-        self._trees: dict = {}
-        self._prefix_targets: Optional[tuple] = None
-        self._start_words: Optional[tuple] = None
         self._checked_words: set = set()
-        self._walks: dict = {}
+        self._orders_checked = False
+        self._fronts: dict = {}
+        self._steps: Optional[tuple] = None
 
     # -- plain path geometry -------------------------------------------------
 
@@ -167,10 +173,11 @@ class MVCalculus:
         new_word = word[: k - 1] + (b, a, b)[:m] + word[k - 1 + m :]
         return LusztigDatum(word=new_word, entries=_braid_move(lus.entries, k, m))
 
-    # -- word graph and transport ------------------------------------------------
+    # -- routes and transport ----------------------------------------------------
 
-    def _word_graph(self) -> dict:
-        if self._graph is None:
+    def _check_braid_orders(self) -> None:
+        """Refuse, once per calculator, a datum with a braid order above 3."""
+        if not self._orders_checked:
             for i in self.group.simple_indices:
                 for j in self.group.simple_indices:
                     if i < j and self.group.coxeter_order(i, j) > 3:
@@ -178,41 +185,45 @@ class MVCalculus:
                             "transport needs braid orders 2 and 3 everywhere; "
                             f"order {self.group.coxeter_order(i, j)} at ({i}, {j})"
                         )
-            words = self.group.reduced_words(self.group.longest_element())
-            self._graph = {word: self.group.braid_neighbors(word) for word in words}
-        return self._graph
+            self._orders_checked = True
 
-    def _tree_from(self, src: tuple[int, ...]) -> dict:
-        """Breadth-first parents, in BFS order: node -> (previous node, k, m)."""
-        tree = self._trees.get(src)
-        if tree is None:
-            adj = self._word_graph()
-            if src not in adj:
-                raise ValueError(f"{src} is not a reduced word for the longest element")
-            tree = {src: None}
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for node in frontier:
-                    for k, m, nb in adj[node]:
-                        if nb not in tree:
-                            tree[nb] = (node, k, m)
-                            nxt.append(nb)
-                frontier = nxt
-            self._trees[src] = tree
-        return tree
+    def _front(self, word: tuple[int, ...], i: int) -> tuple[tuple, tuple[int, ...]]:
+        """Braid moves (k, m) that turn a reduced word with left descent i into
+        one starting with i, and that word (Tits' word problem solution).
+
+        With j = word[0] != i and m the order of s_i s_j, the tail is first
+        made to start with (i, j, i, ...)[:m-1], and one order-m move at
+        position 1 then puts i in front.
+        """
+        key = (word, i)
+        got = self._fronts.get(key)
+        if got is None:
+            j = word[0]
+            if j == i:
+                got = ((), word)
+            else:
+                m = self.group.coxeter_order(i, j)
+                moves, tail = self._lead(word[1:], ((i, j) * 3)[: m - 1])
+                shifted = tuple((k + 1, order) for k, order in moves)
+                got = (shifted + ((1, m),), ((i, j) * 3)[:m] + tail[m - 1 :])
+            self._fronts[key] = got
+        return got
+
+    def _lead(self, word: tuple[int, ...], letters: Sequence[int]) -> tuple[list, tuple[int, ...]]:
+        """Braid moves (k, m) that make a reduced word start with the letters, a
+        reduced word of a prefix of its element, brought forward one at a time;
+        and the word they give."""
+        moves = []
+        for t, letter in enumerate(letters):
+            sub_moves, sub = self._front(word[t:], letter)
+            moves.extend((k + t, m) for k, m in sub_moves)
+            word = word[:t] + sub
+        return moves, word
 
     def _route(self, src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-        """Braid moves (k, m) leading from src to dst (already checked words)."""
-        tree = self._tree_from(src)
-        if dst not in tree:
-            raise ValueError("words are not connected by braid moves")
-        moves = []
-        cur = dst
-        while tree[cur] is not None:
-            cur, k, m = tree[cur]
-            moves.append((k, m))
-        return tuple(reversed(moves))
+        """Braid moves (k, m) leading from src to dst (checked words of w0)."""
+        self._check_braid_orders()
+        return tuple(self._lead(src, dst)[0])
 
     def transport_path(self, src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
         """Braid move positions leading from src to dst (already verified words)."""
@@ -221,57 +232,44 @@ class MVCalculus:
     def transport(self, lus: LusztigDatum, target: Sequence[int]) -> LusztigDatum:
         src = self.require_word(lus.word)
         dst = self.require_word(target)
-        return LusztigDatum(word=dst, entries=self._carry(lus.entries, src, dst))
-
-    def _carry(self, entries: tuple[int, ...], src: tuple, dst: tuple) -> tuple[int, ...]:
-        """Entries after the moves of the tree route from src to dst (checked words)."""
-        for k, m in self._route(src, dst):
-            entries = _braid_move(entries, k, m)
-        return entries
+        return LusztigDatum(word=dst, entries=_apply_moves(lus.entries, self._route(src, dst)))
 
     # -- GGMS vertices -------------------------------------------------------------
 
-    def _prefix_target_list(self) -> tuple:
-        """For each w: a word of w0 with a reduced word of w as prefix."""
-        if self._prefix_targets is None:
-            w0 = self.group.longest_element()
-            out = []
-            for w in self.group.elements():
-                completion = w.inverse() * w0
-                target = w.word + completion.word
-                if len(target) != w0.length:
-                    raise AssertionError("prefix completion is not reduced")
-                out.append((w, target, w.length))
-            self._prefix_targets = tuple(out)
-        return self._prefix_targets
-
-    def _walk_from(self, src: tuple[int, ...]) -> tuple:
-        """Tree edges (node, prev, k, m) to the prefix targets and their ancestors, BFS order."""
-        walk = self._walks.get(src)
-        if walk is None:
-            tree = self._tree_from(src)
-            needed = set()
-            for _, target, _ in self._prefix_target_list():
-                node = target
-                while node not in needed and tree[node] is not None:
-                    needed.add(node)
-                    node = tree[node][0]
-            walk = tuple((node,) + edge for node, edge in tree.items() if node in needed)
-            self._walks[src] = walk
-        return walk
+    def _vertex_steps(self) -> tuple:
+        """(w, w(alpha_i^vee)) for each Weyl element w, in elements() order, with
+        i the last letter of w's canonical word; None for the identity.  That
+        coweight is -w'(alpha_i^vee) for w = w' s_i, the step after w'."""
+        if self._steps is None:
+            coroots = self.datum.simple_coroots
+            self._steps = tuple(
+                (w, linalg.mat_vec(w.mat, coroots[w.word[-1] - 1].coords) if w.word else None)
+                for w in self.group.elements()
+            )
+        return self._steps
 
     def ggms_datum(self, lus: LusztigDatum) -> GGMSDatum:
-        """All polytope vertices of the datum, by one walk over its braid-move tree."""
+        """All polytope vertices of the datum, one reshaped word per Weyl element.
+
+        Elements come in (length, canonical word) order, so a parent, whose
+        canonical word is the child's minus its last letter i, comes first.  The
+        parent keeps the tail of its word of w0 with the entries moved there;
+        bringing i to the front of that tail adds entry x step to its vertex.
+        """
         src = self.require_word(lus.word)
-        moved = {src: lus.entries}
-        for node, prev, k, m in self._walk_from(src):
-            moved[node] = _braid_move(moved[prev], k, m)
-        return GGMSDatum(
-            vertices=tuple(
-                (w, self._partial_sum(target, moved[target][:plen]))
-                for w, target, plen in self._prefix_target_list()
-            )
-        )
+        self._check_braid_orders()
+        state = {(): (src, lus.entries, (0,) * self.datum.d)}
+        vertices = []
+        for w, step in self._vertex_steps():
+            c = w.word
+            if c:
+                tail, entries, point = state[c[:-1]]
+                moves, tail = self._front(tail, c[-1])
+                entries = _apply_moves(entries, moves)
+                point = tuple(p + entries[0] * s for p, s in zip(point, step))
+                state[c] = (tail[1:], entries[1:], point)
+            vertices.append((w, Coweight(state[c][2])))
+        return GGMSDatum(vertices=tuple(vertices))
 
     def validate_ggms(self, g: GGMSDatum) -> bool:
         """Pairwise vertex compatibility: nu_w >=_w nu_w' in integer mode."""
@@ -283,15 +281,6 @@ class MVCalculus:
         return True
 
     # -- the membership test -------------------------------------------------------
-
-    def _start_word_list(self) -> tuple:
-        """For each simple i: (i, a word of w0 that starts with i)."""
-        if self._start_words is None:
-            w0 = self.group.longest_element()
-            self._start_words = tuple(
-                (i, (i,) + (self.group.simple(i) * w0).word) for i in self.group.simple_indices
-            )
-        return self._start_words
 
     def is_mv(self, lus: LusztigDatum, mu: Coweight) -> bool:
         """Does the polytope of the datum, shifted to mu, stay in hull(W mu)?
@@ -310,10 +299,11 @@ class MVCalculus:
             raise ValueError(
                 f"lambda {lam.coords} lies outside hull(W mu); not a weight of mu"
             )
+        self._check_braid_orders()
         return all(
-            self._carry(lus.entries, word, target)[0]
+            _apply_moves(lus.entries, self._front(word, i)[0])[0]
             <= linalg.dot(self.datum.simple_roots[i - 1].coords, mu.coords)
-            for i, target in self._start_word_list()
+            for i in self.group.simple_indices
         )
 
     # -- enumeration ------------------------------------------------------------------
@@ -396,6 +386,13 @@ def _braid_move(entries: tuple[int, ...], k: int, m: int) -> tuple[int, ...]:
         return n[: k - 1] + (n[k], n[k - 1]) + n[k + 1 :]
     p = min(n[k - 1], n[k + 1])
     return n[: k - 1] + (n[k] + n[k + 1] - p, p, n[k - 1] + n[k] - p) + n[k + 2 :]
+
+
+def _apply_moves(entries: tuple[int, ...], moves: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Entries after the braid moves (k, m), in order."""
+    for k, m in moves:
+        entries = _braid_move(entries, k, m)
+    return entries
 
 
 def _nonneg_solutions(

@@ -234,3 +234,13 @@ def test_dominant_only_recursion_matches_the_all_weights_oracle(name, make, mus)
         table = _freudenthal_table(datum, mu)
         assert list(table.items()) == list(_freudenthal_oracle(datum, mu).items()), (name, coords)
         assert list(table) == [w.coords for w in reversed(datum.weight_set(mu))], (name, coords)
+
+
+@pytest.mark.parametrize("name,make,mus", FREUDENTHAL_CASES, ids=[c[0] for c in FREUDENTHAL_CASES])
+def test_character_reads_the_table_in_charpoly_order(name, make, mus):
+    datum = make()
+    for coords in mus:
+        mu = cw(*coords)
+        table = _freudenthal_table(datum, mu)
+        expected = CharPoly.from_map(datum, {Coweight(c): m for c, m in table.items()})
+        assert character(datum, mu).terms == expected.terms, (name, coords)

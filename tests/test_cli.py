@@ -4,11 +4,12 @@ Every invocation goes through main(argv), so the tests cover parsing,
 dispatch, exit codes, and the JSON/table serializers together.
 """
 
+import itertools
 import json
 
 import pytest
 
-from satake_fold import Coweight, TwiningReport, TwiningRow, builtin_datum
+from satake_fold import BUILTIN_DATA, Coweight, TwiningReport, TwiningRow, builtin_datum, longest_element
 from satake_fold.cli import main
 
 
@@ -111,6 +112,30 @@ def test_mv_count_and_list(capsys):
     assert rc == 0
     assert payload["word"] == [2, 1, 2]
     assert payload["count"] == 2
+
+
+@pytest.mark.parametrize("group", sorted(BUILTIN_DATA))
+def test_mv_count_equals_the_count_of_mv_list(capsys, group):
+    datum = builtin_datum(group)
+    zero = Coweight((0,) * datum.d)
+    targets = [-Coweight((1,) + (0,) * (datum.d - 1)), datum.simple_coroots[0]]
+    for coeffs in itertools.product(range(3), repeat=datum.rank):
+        targets.append(-sum((v.scale(c) for c, v in zip(coeffs, datum.simple_coroots)), zero))
+    word = longest_element(datum).word
+    for words in ((), ("--word", ",".join(map(str, reversed(word))))):
+        for nu in targets:
+            nu_arg = "--nu=" + ",".join(map(str, nu.coords))
+            rc, counted = run_json(capsys, "mv", "count", "--group", group, nu_arg, *words)
+            assert rc == 0
+            rc, listed = run_json(capsys, "mv", "list", "--group", group, nu_arg, *words)
+            assert rc == 0
+            assert counted == {key: listed[key] for key in ("word", "nu", "count")}, nu.coords
+
+
+def test_mv_count_deep_target(capsys):
+    rc, payload = run_json(capsys, "mv", "count", "--group", "A2", "--nu=-500,-500")
+    assert rc == 0
+    assert payload == {"word": [1, 2, 1], "nu": [-500, -500], "count": 501}
 
 
 def test_mv_ggms(capsys):
@@ -241,6 +266,10 @@ def test_file_based_group_and_sigma(tmp_path, capsys):
             "must be nonnegative",
         ),
         (("weyl", "words", "--group", "A2", "--element", "1,9"), "outside 1..2"),
+        (
+            ("mv", "count", "--group", "A2", "--nu", "0,0", "--word", "1,2"),
+            "not a reduced word for the longest element",
+        ),
     ],
 )
 def test_input_problems_exit_two(capsys, argv, fragment):

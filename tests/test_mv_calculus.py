@@ -1,6 +1,7 @@
 """Tests for Lusztig data, braid transport, GGMS collections, and counting."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from satake_fold import (
     NonSimplyLacedError,
     RootDatum,
     Weight,
+    braid_neighbors,
     braid_transition,
     builtin_datum,
     builtin_sigma,
@@ -22,6 +24,7 @@ from satake_fold import (
     is_sigma_invariant,
     kostant,
     longest_element,
+    mv_character,
     path_vertices,
     reduced_words,
     sigma_compatible_word,
@@ -134,8 +137,6 @@ def test_braid_transition_order_three_formula():
 
 def test_braid_transition_preserves_coweight():
     a3 = builtin_datum("A3")
-    from satake_fold import braid_neighbors
-
     word = (1, 2, 1, 3, 2, 1)
     for entries in itertools.product(range(2), repeat=6):
         L = lus(word, entries)
@@ -217,6 +218,105 @@ def test_transport_refuses_non_simply_laced_graphs():
     with pytest.raises(NonSimplyLacedError) as excinfo:
         transport(b2, lus((1, 2, 1, 2), (0, 0, 0, 0)), (2, 1, 2, 1))
     assert "braid orders 2 and 3 everywhere" in str(excinfo.value)
+
+
+def _replay(datum, L, moves):
+    """Apply braid moves (k, m) through the checked, public braid_transition."""
+    for k, m in moves:
+        L = braid_transition(datum, L, k, m)
+    return L
+
+
+def test_front_moves_replay_to_a_word_starting_with_i():
+    for name in ("A3", "A4", "D4"):
+        datum = builtin_datum(name)
+        calc = MVCalculus(datum)
+        for word in reduced_words(datum, longest_element(datum)):
+            L = lus(word, range(len(word)))
+            for i in calc.group.simple_indices:
+                moves, front = calc._front(word, i)
+                assert front[0] == i, (name, word, i)
+                assert _replay(datum, L, moves).word == front, (name, word, i)
+
+
+def _bfs_route(datum, src, dst):
+    """Oracle: the braid moves (k, m) of a breadth-first route over the graph
+    of all reduced words of w0, from src to dst."""
+    parent = {src: None}
+    frontier = [src]
+    while dst not in parent:
+        nxt = []
+        for node in frontier:
+            for k, m, nb in braid_neighbors(datum, node):
+                if nb not in parent:
+                    parent[nb] = (node, k, m)
+                    nxt.append(nb)
+        frontier = nxt
+    moves = []
+    node = dst
+    while parent[node] is not None:
+        node, k, m = parent[node]
+        moves.append((k, m))
+    return tuple(reversed(moves))
+
+
+def test_transport_matches_the_breadth_first_route_oracle():
+    a3 = builtin_datum("A3")
+    words = reduced_words(a3, longest_element(a3))
+    samples = [(0,) * 6, (1, 0, 2, 0, 1, 0), (2, 1, 0, 1, 2, 1), (3, 0, 0, 2, 1, 3)]
+    for src, dst in itertools.product(words, words):
+        route = _bfs_route(a3, src, dst)
+        for entries in samples:
+            L = lus(src, entries)
+            assert transport(a3, L, dst) == _replay(a3, L, route), (src, dst, entries)
+    for name in ("A4", "D4"):
+        datum = builtin_datum(name)
+        words = reduced_words(datum, longest_element(datum))
+        rng = random.Random(name)
+        for src in rng.sample(words, 3):
+            for dst in rng.sample(words, 12):
+                route = _bfs_route(datum, src, dst)
+                for _ in range(3):
+                    L = lus(src, (rng.randrange(4) for _ in src))
+                    assert transport(datum, L, dst) == _replay(datum, L, route), (name, src, dst)
+
+
+@pytest.mark.parametrize("group,sigma,order", [("D4", "D4-rot3", 6), ("A4", "A4-flip", 4)])
+def test_folded_data_refuse_transport(group, sigma, order):
+    datum = builtin_datum(group)
+    folded = fold(datum, builtin_sigma(sigma, datum)).datum
+    words = reduced_words(folded, longest_element(folded))
+    L = lus(words[0], (0,) * len(words[0]))
+    zero = cw(*(0,) * folded.d)
+    mu = next(mu for mu in _small_dominant(folded) if mu != zero)
+    calls = [
+        lambda: transport(folded, L, words[-1]),
+        lambda: is_mv(folded, L, zero),
+        lambda: ggms_datum(folded, L),
+        lambda: mv_character(folded, zero),
+        lambda: mv_character(folded, mu),
+    ]
+    for call in calls:
+        with pytest.raises(NonSimplyLacedError) as excinfo:
+            call()
+        assert str(excinfo.value) == (
+            f"transport needs braid orders 2 and 3 everywhere; order {order} at (1, 2)"
+        )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_transport_round_trips_on_random_words_and_entries(data):
+    datum = builtin_datum(data.draw(st.sampled_from(("A3", "A4", "D4")), label="group"))
+    words = reduced_words(datum, longest_element(datum))
+    src = data.draw(st.sampled_from(words), label="src")
+    dst = data.draw(st.sampled_from(words), label="dst")
+    entries = data.draw(st.tuples(*[st.integers(0, 3)] * len(src)), label="entries")
+    L = lus(src, entries)
+    there = transport(datum, L, dst)
+    assert there.word == dst
+    assert coweight(datum, there) == coweight(datum, L)
+    assert transport(datum, there, src) == L
 
 
 def test_ggms_datum_a2_frozen_tables():
